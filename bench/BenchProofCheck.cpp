@@ -16,8 +16,9 @@
 ///      walking the contiguous DerivationForest spans, entailment
 ///      queries memoized on interned-bound-id pairs,
 ///   3. forest-pooled  — the same flat walk with independent function
-///      roots fanned out across the work-stealing pool (the daemon's
-///      serving configuration).
+///      roots fanned out across the batch thread pool. Production
+///      checking does not do this: analysis::analyzeProgram checks each
+///      root serially, in qcc and qccd alike.
 ///
 /// Every phase must accept every bound and visit the identical number of
 /// derivation nodes — the verdict-parity invariant of DESIGN.md §5h —
@@ -146,11 +147,11 @@ void runForestSerial(const std::vector<Compiled> &Corpus,
 
 /// Flat form on the pool: independent roots checked concurrently, one
 /// checker per program shared across workers (its counters are atomic
-/// and the memo locks internally), as qccd serves warm proofs.
+/// and the memo locks internally).
 void runForestPooled(const std::vector<Compiled> &Corpus,
                      const std::vector<Item> &Items,
                      const logic::EntailOptions &EO,
-                     batch::WorkStealingPool &Pool, Phase &Out) {
+                     batch::ThreadPool &Pool, Phase &Out) {
   logic::EntailMemo Memo;
   std::vector<std::unique_ptr<logic::ProofChecker>> Checkers;
   for (const Compiled &P : Corpus) {
@@ -243,7 +244,7 @@ int main(int argc, char **argv) {
 
   unsigned Threads =
       std::clamp(std::thread::hardware_concurrency(), 2u, 8u);
-  batch::WorkStealingPool Pool(Threads); // Long-lived, like qccd's.
+  batch::ThreadPool Pool(Threads); // Long-lived, like qccd's.
 
   printf("==== Proof checking: flat forests vs derivation trees "
          "(%zu bounds, %zu programs) ====\n\n",

@@ -236,89 +236,57 @@ int BatchResult::exitCode() const {
 // Resume journal
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// The resume journal: "<status> <32-digit-hex jobKey>" lines (primary
-/// then verification hash, concatenated), appended and flushed as each
-/// job reaches a definitive verdict, so a killed run loses at most the
-/// jobs that were still in flight. Budget-stopped jobs are never
-/// journaled — the rerun must attempt them again. Legacy 16-hex lines
-/// (pre-collision-guard journals) are still read; they match on the
-/// primary hash alone.
-class Journal {
-public:
-  explicit Journal(const std::string &Path) {
-    std::ifstream In(Path);
-    std::string Status, Hex;
-    while (In >> Status >> Hex) {
-      bool Ok;
-      if (Status == "ok")
-        Ok = true;
-      else if (Status == "failed")
-        Ok = false;
-      else
-        continue; // Unknown words: tolerated for forward compatibility.
-      if (Hex.size() != 16 && Hex.size() != 32)
-        continue;
-      uint64_t Primary =
-          std::strtoull(Hex.substr(0, 16).c_str(), nullptr, 16);
-      Entry E;
-      E.Ok = Ok;
-      if (Hex.size() == 32) {
-        E.Verify = std::strtoull(Hex.substr(16).c_str(), nullptr, 16);
-        E.HasVerify = true;
-      }
-      Done[Primary] = E;
+Journal::Journal(const std::string &Path) {
+  std::ifstream In(Path);
+  std::string Status, Hex;
+  while (In >> Status >> Hex) {
+    bool Ok;
+    if (Status == "ok")
+      Ok = true;
+    else if (Status == "failed")
+      Ok = false;
+    else
+      continue; // Unknown words: tolerated for forward compatibility.
+    if (Hex.size() != 16 && Hex.size() != 32)
+      continue;
+    uint64_t Primary = std::strtoull(Hex.substr(0, 16).c_str(), nullptr, 16);
+    Entry E;
+    E.Ok = Ok;
+    if (Hex.size() == 32) {
+      E.Verify = std::strtoull(Hex.substr(16).c_str(), nullptr, 16);
+      E.HasVerify = true;
     }
-    In.close();
-    Out.open(Path, std::ios::app);
+    Done[Primary] = E;
   }
+  In.close();
+  Out.open(Path, std::ios::app);
+}
 
-  /// The recorded verdict for \p Key, if any (true = ok). An entry whose
-  /// verification hash disagrees is a primary-hash collision: ignored, so
-  /// the differing job re-verifies instead of replaying a foreign verdict.
-  /// Locked: record() now mutates Done concurrently (idempotence set).
-  std::optional<bool> lookup(const JobKey &Key) const {
-    std::lock_guard<std::mutex> G(M);
-    auto It = Done.find(Key.Primary);
-    if (It == Done.end())
-      return std::nullopt;
-    if (It->second.HasVerify && It->second.Verify != Key.Verify)
-      return std::nullopt;
-    return It->second.Ok;
-  }
+std::optional<bool> Journal::lookup(const JobKey &Key) const {
+  std::lock_guard<std::mutex> G(M);
+  auto It = Done.find(Key.Primary);
+  if (It == Done.end())
+    return std::nullopt;
+  if (It->second.HasVerify && It->second.Verify != Key.Verify)
+    return std::nullopt;
+  return It->second.Ok;
+}
 
-  /// Appends and flushes one definitive verdict. Idempotent: a key
-  /// already present (loaded at open, or recorded earlier in this run) is
-  /// not re-appended, so the post-quiesce re-scan can blanket every
-  /// completed slot without duplicating the inline records.
-  void record(const JobKey &Key, bool Ok) {
-    std::lock_guard<std::mutex> G(M);
-    auto It = Done.find(Key.Primary);
-    if (It != Done.end() &&
-        (!It->second.HasVerify || It->second.Verify == Key.Verify))
-      return;
-    Done[Key.Primary] = Entry{Key.Verify, /*HasVerify=*/true, Ok};
-    char Line[48];
-    std::snprintf(Line, sizeof Line, " %016llx%016llx\n",
-                  static_cast<unsigned long long>(Key.Primary),
-                  static_cast<unsigned long long>(Key.Verify));
-    Out << (Ok ? "ok" : "failed") << Line;
-    Out.flush();
-  }
-
-private:
-  struct Entry {
-    uint64_t Verify = 0;
-    bool HasVerify = false;
-    bool Ok = false;
-  };
-  mutable std::mutex M;
-  std::ofstream Out;
-  std::unordered_map<uint64_t, Entry> Done;
-};
-
-} // namespace
+bool Journal::record(const JobKey &Key, bool Ok) {
+  std::lock_guard<std::mutex> G(M);
+  auto It = Done.find(Key.Primary);
+  if (It != Done.end() &&
+      (!It->second.HasVerify || It->second.Verify == Key.Verify))
+    return false;
+  Done[Key.Primary] = Entry{Key.Verify, /*HasVerify=*/true, Ok};
+  char Line[48];
+  std::snprintf(Line, sizeof Line, " %016llx%016llx\n",
+                static_cast<unsigned long long>(Key.Primary),
+                static_cast<unsigned long long>(Key.Verify));
+  Out << (Ok ? "ok" : "failed") << Line;
+  Out.flush();
+  return static_cast<bool>(Out);
+}
 
 //===----------------------------------------------------------------------===//
 // One governed job, decoupled from the batch loop
@@ -494,7 +462,7 @@ BatchResult qcc::batch::runBatch(const std::vector<BatchJob> &Jobs,
     for (size_t I = 0; I != Jobs.size(); ++I)
       RunOne(I);
   } else {
-    WorkStealingPool Pool(Workers);
+    ThreadPool Pool(Workers);
     Pool.parallelFor(Jobs.size(), RunOne);
   }
 

@@ -8,7 +8,8 @@
 /// \file
 /// The parallel batch-verification engine: many programs compiled,
 /// translation-validated, automatically bounded, and Theorem-1-checked
-/// concurrently on a work-stealing pool (batch/ThreadPool.h), with
+/// concurrently on a thread pool with one FIFO queue (batch/ThreadPool.h)
+/// whose workers take jobs from one shared counter, with
 ///
 ///   * per-program results (bounds, diagnostics, Theorem 1 outcome),
 ///   * pass-level metrics (wall time per stage, refinement-replay event
@@ -31,6 +32,7 @@
 #include "support/Diagnostics.h"
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -182,6 +184,41 @@ private:
   mutable std::mutex M;
   std::unordered_map<uint64_t, Entry> Map;
   CacheStats Counters;
+};
+
+/// The resume journal: "<status> <32-digit-hex jobKey>" lines (primary
+/// then verification hash, concatenated), appended and flushed as each
+/// job reaches a definitive verdict, so a killed run loses at most the
+/// jobs that were still in flight. Budget-stopped jobs are never
+/// journaled — the rerun must attempt them again. Legacy 16-hex lines
+/// (pre-collision-guard journals) are still read; they match on the
+/// primary hash alone. runBatch and the qccd daemon share this writer,
+/// so a `qcc --batch --journal` run resumes from a daemon's journal.
+/// Thread-safe.
+class Journal {
+public:
+  /// Loads the verdicts already in \p Path, then opens it for appending.
+  explicit Journal(const std::string &Path);
+
+  /// The recorded verdict for \p Key, if any (true = ok). An entry whose
+  /// verification hash disagrees is a primary-hash collision: ignored, so
+  /// the differing job re-verifies instead of replaying a foreign verdict.
+  std::optional<bool> lookup(const JobKey &Key) const;
+
+  /// Appends and flushes one definitive verdict; returns whether a line
+  /// was written. Idempotent: a key already present (loaded at open, or
+  /// recorded earlier) is not re-appended.
+  bool record(const JobKey &Key, bool Ok);
+
+private:
+  struct Entry {
+    uint64_t Verify = 0;
+    bool HasVerify = false;
+    bool Ok = false;
+  };
+  mutable std::mutex M;
+  std::ofstream Out;
+  std::unordered_map<uint64_t, Entry> Done;
 };
 
 /// The persistent result store the batch engine consults after the

@@ -1,4 +1,4 @@
-//===- batch/ThreadPool.cpp - Work-stealing thread pool -------------------===//
+//===- batch/ThreadPool.cpp - One-queue thread pool -----------------------===//
 //
 // Part of qcc, a reproduction of "End-to-End Verification of Stack-Space
 // Bounds for C Programs" (PLDI 2014).
@@ -9,23 +9,21 @@
 
 #include "support/FailPoint.h"
 
+#include <algorithm>
+#include <atomic>
+#include <latch>
+
 using namespace qcc;
 using namespace qcc::batch;
 
-WorkStealingPool::WorkStealingPool(unsigned NumThreads) {
-  if (NumThreads == 0)
-    NumThreads = 1;
-  Queues.reserve(NumThreads);
-  for (unsigned I = 0; I != NumThreads; ++I)
-    Queues.push_back(std::make_unique<Queue>());
-  Threads.reserve(NumThreads);
-  for (unsigned I = 0; I != NumThreads; ++I)
-    Threads.emplace_back([this, I] { workerLoop(I); });
+ThreadPool::ThreadPool(unsigned NumThreads) {
+  for (unsigned I = 0; I != std::max(1u, NumThreads); ++I)
+    Threads.emplace_back([this] { workerLoop(); });
 }
 
-WorkStealingPool::~WorkStealingPool() {
+ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> G(BatchM);
+    std::lock_guard<std::mutex> G(M);
     Stop = true;
   }
   WorkCv.notify_all();
@@ -33,125 +31,57 @@ WorkStealingPool::~WorkStealingPool() {
     T.join();
 }
 
-bool WorkStealingPool::popLocal(unsigned Me, size_t &Item) {
-  Queue &Q = *Queues[Me];
-  std::lock_guard<std::mutex> G(Q.M);
-  if (Q.Items.empty())
-    return false;
-  Item = Q.Items.front();
-  Q.Items.pop_front();
-  return true;
-}
-
-bool WorkStealingPool::steal(unsigned Me, size_t &Item) {
-  unsigned N = static_cast<unsigned>(Queues.size());
-  for (unsigned Off = 1; Off != N; ++Off) {
-    Queue &Q = *Queues[(Me + Off) % N];
-    std::lock_guard<std::mutex> G(Q.M);
-    if (Q.Items.empty())
-      continue;
-    Item = Q.Items.back();
-    Q.Items.pop_back();
-    return true;
-  }
-  return false;
-}
-
-void WorkStealingPool::drain(unsigned Me,
-                             const std::function<void(size_t)> &F) {
-  size_t Item;
+void ThreadPool::workerLoop() {
+  std::unique_lock<std::mutex> L(M);
   for (;;) {
-    if (!popLocal(Me, Item) && !steal(Me, Item))
+    WorkCv.wait(L, [this] { return Stop || !Tasks.empty(); });
+    // Stop still finishes the queue, so a waiter blocked on a submitted
+    // task's completion can never be stranded — cancellation makes tasks
+    // fast, the pool makes them run.
+    if (Tasks.empty())
       return;
-    F(Item);
-    Remaining.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-
-void WorkStealingPool::workerLoop(unsigned Me) {
-  std::unique_lock<std::mutex> L(BatchM);
-  uint64_t Seen = 0;
-  for (;;) {
-    WorkCv.wait(L, [this, Seen] {
-      return Stop || Generation != Seen || !Tasks.empty();
-    });
-    // Submitted tasks first: a shutdown (Stop) still finishes the queue,
-    // so a waiter blocked on a submitted task's completion can never be
-    // stranded — cancellation makes tasks fast, the pool makes them run.
-    if (!Tasks.empty()) {
-      std::function<void()> T = std::move(Tasks.front());
+    {
+      std::function<void()> Task = std::move(Tasks.front());
       Tasks.pop_front();
-      ++RunningTasks;
       L.unlock();
-      T();
-      L.lock();
-      if (--RunningTasks == 0 && Tasks.empty())
-        IdleCv.notify_all();
-      continue;
+      Task();
     }
-    if (Stop)
-      return;
-    Seen = Generation;
-    const std::function<void(size_t)> *F = Body;
-    ++Active;
-    L.unlock();
-    drain(Me, *F);
     L.lock();
-    // The caller may return only when no worker can still hold a
-    // reference to this generation's body.
-    if (--Active == 0 && Remaining.load(std::memory_order_acquire) == 0)
-      DoneCv.notify_all();
   }
 }
 
-void WorkStealingPool::submit(std::function<void()> Task) {
+void ThreadPool::submit(std::function<void()> Task) {
   // "pool.submit": delay models a saturated queue (admission tests lean
   // on it to hold a job in flight deterministically); crash models a
   // process dying with work queued. Err/Short are meaningless for an
   // in-memory enqueue and are ignored — the task is always queued.
   (void)failpoint::fire("pool.submit");
   {
-    std::lock_guard<std::mutex> G(BatchM);
+    std::lock_guard<std::mutex> G(M);
     Tasks.push_back(std::move(Task));
   }
   WorkCv.notify_one();
 }
 
-void WorkStealingPool::waitTasksIdle() {
-  std::unique_lock<std::mutex> L(BatchM);
-  IdleCv.wait(L, [this] { return Tasks.empty() && RunningTasks == 0; });
-}
-
-size_t WorkStealingPool::taskCount() const {
-  std::lock_guard<std::mutex> G(BatchM);
-  return Tasks.size() + RunningTasks;
-}
-
-void WorkStealingPool::parallelFor(size_t N,
-                                   const std::function<void(size_t)> &F) {
+void ThreadPool::parallelFor(size_t N,
+                             const std::function<void(size_t)> &Body) {
   if (N == 0)
     return;
-  // Seed every queue before publishing the new generation: no worker can
-  // be inside drain() between batches (the previous call waited for
-  // Active == 0), and a worker woken before its queue is seeded would
-  // park for good, stranding the late items.
-  Remaining.store(N, std::memory_order_release);
-  unsigned W = static_cast<unsigned>(Queues.size());
-  for (size_t I = 0; I != N; ++I) {
-    Queue &Q = *Queues[I % W];
-    std::lock_guard<std::mutex> G(Q.M);
-    Q.Items.push_back(I);
-  }
+  // The drain tasks reference this frame; the latch counts them, so the
+  // caller returns only once none is queued or running.
+  size_t Drainers = std::min(Threads.size(), N);
+  std::atomic<size_t> Next{0};
+  std::latch Done(static_cast<std::ptrdiff_t>(Drainers));
+  auto Drain = [&Next, &Done, &Body, N] {
+    for (size_t I = Next++; I < N; I = Next++)
+      Body(I);
+    Done.count_down();
+  };
   {
-    std::lock_guard<std::mutex> G(BatchM);
-    Body = &F;
-    ++Generation;
+    std::lock_guard<std::mutex> G(M);
+    for (size_t T = 0; T != Drainers; ++T)
+      Tasks.push_back(Drain);
   }
   WorkCv.notify_all();
-
-  std::unique_lock<std::mutex> L(BatchM);
-  DoneCv.wait(L, [this] {
-    return Active == 0 && Remaining.load(std::memory_order_acquire) == 0;
-  });
-  Body = nullptr;
+  Done.wait();
 }

@@ -1,4 +1,4 @@
-//===- batch/ThreadPool.h - Work-stealing thread pool -----------*- C++-*-===//
+//===- batch/ThreadPool.h - One-queue thread pool ---------------*- C++-*-===//
 //
 // Part of qcc, a reproduction of "End-to-End Verification of Stack-Space
 // Bounds for C Programs" (PLDI 2014).
@@ -6,39 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for the batch-verification engine.
-/// Work items are indices into a caller-owned job list; they are seeded
-/// round-robin into one deque per worker, each worker drains its own
-/// deque from the front and, when empty, steals from the back of its
-/// neighbours'. Stealing from the opposite end keeps contention low and
-/// lets a worker stuck behind a heavy compilation shed the rest of its
-/// share to idle threads — the property that makes corpus batches (one
-/// big CertiKOS file next to many small Table 2 drivers) load-balance.
+/// A fixed-size thread pool with one FIFO queue of tasks, shared by the
+/// batch engine and the qccd daemon.
 ///
-/// The pool is generation-based: `parallelFor` publishes a body and a
-/// remaining-count, wakes every worker, and blocks until all items ran
-/// *and* every participating worker parked again (so no thread can still
-/// be touching a previous generation's body when the next one is seeded).
-///
-/// Long-lived front ends (the qccd daemon) that produce work one job at
-/// a time instead of as a closed index range use `submit`: a shared FIFO
-/// of standalone tasks drained by the same workers. Submitted tasks and
-/// parallelFor batches may interleave freely — workers prefer pending
-/// tasks, then fall through to the current generation's index range — so
-/// a daemon serving connections and an in-process batch share one pool
-/// without either starving the other for good.
+/// Long-lived front ends (the daemon) enqueue one task per request with
+/// `submit`. A closed index range (`runBatch`'s job list) goes through
+/// `parallelFor`, which enqueues min(workers, N) drain tasks on the same
+/// queue: each takes indices from one shared atomic counter until the
+/// range is exhausted. Jobs are whole translation units that run for
+/// milliseconds and share nothing, so one `fetch_add` per job keeps every
+/// worker busy, a heavy file next to many small ones included.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef QCC_BATCH_THREADPOOL_H
 #define QCC_BATCH_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -46,70 +33,38 @@
 namespace qcc {
 namespace batch {
 
-/// A fixed-size pool of worker threads executing index-based parallel
-/// loops with work stealing. One pool may run many `parallelFor` batches;
-/// batches never overlap (the call blocks).
-class WorkStealingPool {
+class ThreadPool {
 public:
   /// Spawns \p Threads workers (at least one).
-  explicit WorkStealingPool(unsigned Threads);
-  ~WorkStealingPool();
+  explicit ThreadPool(unsigned Threads);
+  /// Finishes every submitted task, then joins the workers (the shutdown
+  /// discipline: cancel the work's supervisors first, then destroy the
+  /// pool — a cancelled task drains at its next poll point).
+  ~ThreadPool();
 
-  WorkStealingPool(const WorkStealingPool &) = delete;
-  WorkStealingPool &operator=(const WorkStealingPool &) = delete;
+  ThreadPool(const ThreadPool &) = delete;
+  ThreadPool &operator=(const ThreadPool &) = delete;
 
-  unsigned threadCount() const {
-    return static_cast<unsigned>(Threads.size());
-  }
-
-  /// Runs Body(I) for every I in [0, N), distributed over the pool.
-  /// Blocks until every item completed. Body must be safe to invoke
-  /// concurrently from multiple threads on distinct indices.
-  void parallelFor(size_t N, const std::function<void(size_t)> &Body);
-
-  /// Enqueues one standalone task for execution on a pool worker and
-  /// returns immediately. Tasks run in FIFO order relative to each other.
-  /// The destructor finishes every submitted task before joining (the
-  /// shutdown discipline: cancel the work's supervisors first, then
-  /// destroy the pool — a cancelled task drains at its next poll point).
+  /// Enqueues one task and returns immediately. Tasks start in FIFO
+  /// order. A task must not throw.
   void submit(std::function<void()> Task);
 
-  /// Blocks until no submitted task is pending or running. Used by tests
-  /// and by shutdown paths that must observe a quiesced pool.
-  void waitTasksIdle();
-
-  /// Submitted tasks pending or running (snapshot, for tests).
-  size_t taskCount() const;
+  /// Runs Body(I) exactly once for every I in [0, N) on the pool's
+  /// workers, and returns only after every task it enqueued has finished.
+  /// Body must be safe to invoke concurrently on distinct indices, and
+  /// must not throw. Must not be called from a pool task: the caller
+  /// blocks on tasks queued behind it, so a pool whose every worker
+  /// waits there deadlocks.
+  void parallelFor(size_t N, const std::function<void(size_t)> &Body);
 
 private:
-  /// One worker's deque. Owner pops the front; thieves pop the back.
-  struct Queue {
-    std::mutex M;
-    std::deque<size_t> Items;
-  };
+  void workerLoop();
 
-  void workerLoop(unsigned Me);
-  /// Runs items until neither the local deque nor any victim has work.
-  void drain(unsigned Me, const std::function<void(size_t)> &Body);
-  bool popLocal(unsigned Me, size_t &Item);
-  bool steal(unsigned Me, size_t &Item);
-
-  std::vector<std::unique_ptr<Queue>> Queues;
+  std::mutex M;
+  std::condition_variable WorkCv;
+  std::deque<std::function<void()>> Tasks; ///< Guarded by M.
+  bool Stop = false;                       ///< Guarded by M.
   std::vector<std::thread> Threads;
-
-  // Batch and task hand-off state, guarded by BatchM.
-  mutable std::mutex BatchM;
-  std::condition_variable WorkCv; ///< Wakes workers for work of any kind.
-  std::condition_variable DoneCv; ///< Wakes the caller on completion.
-  std::condition_variable IdleCv; ///< Wakes waitTasksIdle.
-  const std::function<void(size_t)> *Body = nullptr;
-  uint64_t Generation = 0;
-  unsigned Active = 0; ///< Workers currently inside drain().
-  bool Stop = false;
-  std::deque<std::function<void()>> Tasks; ///< Submitted, not yet started.
-  unsigned RunningTasks = 0; ///< Submitted tasks currently executing.
-
-  std::atomic<size_t> Remaining{0}; ///< Items not yet finished.
 };
 
 } // namespace batch

@@ -17,9 +17,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <condition_variable>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -125,7 +123,9 @@ Daemon::Daemon(const DaemonOptions &O) : Opts(O) {
   unsigned Workers = Opts.Jobs
                          ? Opts.Jobs
                          : std::max(1u, std::thread::hardware_concurrency());
-  Pool = std::make_unique<WorkStealingPool>(Workers);
+  Pool = std::make_unique<ThreadPool>(Workers);
+  if (!Opts.JournalPath.empty())
+    Resume.emplace(Opts.JournalPath);
   if (Opts.DeadlineMillis)
     Dog = std::make_unique<Watchdog>(
         std::clamp<uint64_t>(Opts.DeadlineMillis / 8, 2, 250));
@@ -475,7 +475,11 @@ bool Daemon::handleSubmit(Connection &Conn, const std::string &Payload) {
 
   // Run on the shared pool; block this connection thread until done.
   // The framing thread doing no verification work itself is what lets N
-  // clients share Jobs workers fairly instead of oversubscribing.
+  // clients share Jobs workers fairly instead of oversubscribing. The
+  // wait is a condition variable, not std::latch: libstdc++'s latch
+  // spins with sched_yield and wakes every connection thread whose latch
+  // hashes to the same wait bucket, which cost sub-millisecond warm hits
+  // a third of their throughput with four clients on four vCPUs.
   ProgramResult Result;
   uint64_t Charged = 0;
   {
@@ -497,8 +501,12 @@ bool Daemon::handleSubmit(Connection &Conn, const std::string &Payload) {
   // flushed per line): a graceful drain therefore leaves a journal that
   // names exactly the in-flight work that finished, and a warm restart
   // (or a local --batch --journal run) resumes from it.
-  if (Result.Status == JobStatus::Ok || Result.Status == JobStatus::Failed)
-    journalVerdict(jobKey(Req.Job, Req.CheckTheorem1), Result.Ok);
+  if (Resume &&
+      (Result.Status == JobStatus::Ok || Result.Status == JobStatus::Failed) &&
+      Resume->record(jobKey(Req.Job, Req.CheckTheorem1), Result.Ok)) {
+    std::lock_guard<std::mutex> G(StatsM);
+    ++Counters.JobsJournaled;
+  }
 
   // Fair-share accounting: bill the client for everything its job made
   // the server allocate (all attempts plus store I/O). Crossing the
@@ -544,28 +552,4 @@ bool Daemon::handleSubmit(Connection &Conn, const std::string &Payload) {
   if (!sendFrame(Conn.Fd, MsgType::Verdict, encodeVerdict(Result)))
     return false;
   return true;
-}
-
-void Daemon::journalVerdict(const batch::JobKey &Key, bool Ok) {
-  if (Opts.JournalPath.empty())
-    return;
-  std::lock_guard<std::mutex> G(JournalM);
-  for (const batch::JobKey &K : Journaled)
-    if (K == Key)
-      return;
-  // Batch-journal line format ("ok <primary><verify>\n", 32 hex digits):
-  // the same file resumes either a restarted daemon's clients or a local
-  // `qcc --batch --journal` run.
-  std::ofstream Out(Opts.JournalPath, std::ios::app);
-  if (!Out)
-    return;
-  char Line[48];
-  std::snprintf(Line, sizeof Line, " %016llx%016llx\n",
-                static_cast<unsigned long long>(Key.Primary),
-                static_cast<unsigned long long>(Key.Verify));
-  Out << (Ok ? "ok" : "failed") << Line;
-  Out.flush();
-  Journaled.push_back(Key);
-  std::lock_guard<std::mutex> SG(StatsM);
-  ++Counters.JobsJournaled;
 }

@@ -27,8 +27,9 @@
 /// Concurrency: one accept thread (poll on the listening socket plus a
 /// self-pipe so shutdown interrupts a blocking accept), one detached-ish
 /// thread per connection doing framing I/O, and all verification work
-/// multiplexed onto one shared WorkStealingPool via submit() — N clients
-/// share the pool fairly instead of each spawning its own workers.
+/// multiplexed onto the one FIFO queue of a shared ThreadPool via
+/// submit() — N clients share the pool fairly instead of each spawning
+/// its own workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,13 +43,14 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace qcc {
 namespace batch {
 class Watchdog;
-class WorkStealingPool;
+class ThreadPool;
 } // namespace batch
 namespace store {
 class VerificationStore;
@@ -99,9 +101,10 @@ struct DaemonOptions {
   /// is answered with Busy and closed immediately.
   uint64_t MaxConnections = 0;
   /// Append each definitive verdict served (batch-journal line format)
-  /// to this file, flushed per line. Under a graceful drain the journal
-  /// therefore captures every in-flight job as it completes; a warm
-  /// restart — or a local `qcc --batch --journal` run — resumes from it.
+  /// to this file, flushed per line, unless the file already holds it.
+  /// Under a graceful drain the journal therefore captures every
+  /// in-flight job as it completes; a warm restart — or a local
+  /// `qcc --batch --journal` run — resumes from it.
   std::string JournalPath;
   /// Persistent store directory (empty = no store: cache only).
   std::string StoreDir;
@@ -189,9 +192,6 @@ private:
   /// Shuts down every live connection socket and joins exited threads;
   /// with \p JoinAll, joins every thread (the serve()-exit drain).
   void reapConnections(bool JoinAll);
-  /// Appends one definitive verdict to the journal (no-op without a
-  /// JournalPath). Batch-journal line format, flushed per line.
-  void journalVerdict(const batch::JobKey &Key, bool Ok);
 
   DaemonOptions Opts;
   std::string Error;
@@ -208,19 +208,18 @@ private:
   batch::ResultCache Cache;
   std::unique_ptr<store::VerificationStore> Store;
   std::unique_ptr<incremental::Engine> Inc; ///< Null when disabled.
-  std::unique_ptr<batch::WorkStealingPool> Pool;
+  std::unique_ptr<batch::ThreadPool> Pool;
   std::unique_ptr<batch::Watchdog> Dog;
+  /// The verdict journal (empty without a JournalPath). It loads the
+  /// verdicts already in the file, so a verdict served twice — a warm
+  /// hit, or the same job after a restart — is appended once.
+  std::optional<batch::Journal> Resume;
 
   mutable std::mutex StatsM;
   DaemonStats Counters;
 
   mutable std::mutex ConnM;
   std::vector<std::unique_ptr<Connection>> Connections;
-
-  mutable std::mutex JournalM;
-  /// Keys already journaled (idempotence: a verdict served twice — warm
-  /// hits — appends once).
-  std::vector<batch::JobKey> Journaled;
 };
 
 } // namespace daemon

@@ -9,8 +9,9 @@
 /// The determinism/thread-safety layer over the batch-verification
 /// engine:
 ///
-///   * work-stealing pool sanity (every index runs exactly once, from
-///     many concurrent workers),
+///   * thread-pool sanity (every index runs exactly once, from many
+///     concurrent workers; a pool survives hundreds of parallelFor
+///     rounds; parallelFor waits behind tasks queued before it),
 ///   * a 2x-oversubscribed stress batch — two driver::Compiler pipelines
 ///     per hardware thread — that must be race-free (run it under
 ///     -DQCC_SANITIZE=thread to let TSan prove it),
@@ -29,6 +30,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -86,11 +89,11 @@ int main() { return (int)(f(10) & 0xff); }
 )";
 
 //===----------------------------------------------------------------------===//
-// Work-stealing pool
+// Thread pool
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
-  WorkStealingPool Pool(4);
+  ThreadPool Pool(4);
   constexpr size_t N = 10'000;
   std::vector<std::atomic<unsigned>> Ran(N);
   Pool.parallelFor(N, [&Ran](size_t I) { Ran[I].fetch_add(1); });
@@ -99,8 +102,10 @@ TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
 }
 
 TEST(ThreadPool, ReusableAcrossBatches) {
-  WorkStealingPool Pool(3);
-  for (unsigned Round = 0; Round != 5; ++Round) {
+  // Hundreds of back-to-back rounds on one live pool: a worker still
+  // finishing one round must never run into the next.
+  ThreadPool Pool(3);
+  for (unsigned Round = 0; Round != 500; ++Round) {
     std::atomic<size_t> Sum{0};
     Pool.parallelFor(100, [&Sum](size_t I) { Sum.fetch_add(I + 1); });
     EXPECT_EQ(Sum.load(), 5050u) << "round " << Round;
@@ -108,9 +113,10 @@ TEST(ThreadPool, ReusableAcrossBatches) {
 }
 
 TEST(ThreadPool, UnevenItemsLoadBalance) {
-  // One heavy item first; stealing must let other workers drain the rest
-  // while it runs. Correctness (not timing) is what is asserted.
-  WorkStealingPool Pool(4);
+  // One heavy item first; the other workers keep taking indices from the
+  // shared counter while it runs. Correctness (not timing) is what is
+  // asserted.
+  ThreadPool Pool(4);
   std::atomic<size_t> Done{0};
   Pool.parallelFor(64, [&Done](size_t I) {
     volatile uint64_t Spin = I == 0 ? 2'000'000 : 1'000;
@@ -119,6 +125,37 @@ TEST(ThreadPool, UnevenItemsLoadBalance) {
     Done.fetch_add(1);
   });
   EXPECT_EQ(Done.load(), 64u);
+}
+
+TEST(ThreadPool, ParallelForWaitsForTasksQueuedAheadOfIt) {
+  // The only worker is held by a submitted task, so parallelFor's drain
+  // task queues behind it: no index may run, and the call may not
+  // return, until the test releases the worker.
+  constexpr size_t N = 64;
+  std::vector<std::atomic<unsigned>> Ran(N);
+  std::atomic<bool> Returned{false};
+  std::latch Held(1), Release(1);
+  ThreadPool Pool(1);
+  Pool.submit([&] {
+    Held.count_down();
+    Release.wait();
+  });
+  Held.wait();
+
+  std::thread Caller([&] {
+    Pool.parallelFor(N, [&Ran](size_t I) { Ran[I].fetch_add(1); });
+    Returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(Returned.load());
+  for (size_t I = 0; I != N; ++I)
+    EXPECT_EQ(Ran[I].load(), 0u) << "index " << I;
+
+  Release.count_down();
+  Caller.join();
+  EXPECT_TRUE(Returned.load());
+  for (size_t I = 0; I != N; ++I)
+    ASSERT_EQ(Ran[I].load(), 1u) << "index " << I;
 }
 
 //===----------------------------------------------------------------------===//

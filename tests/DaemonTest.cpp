@@ -42,6 +42,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -688,6 +689,25 @@ TEST(Resilience, DrainFinishesInFlightJobAndJournalsIt) {
   ClientOutcome After = C.verify(requestFor(Jobs[1]));
   EXPECT_FALSE(After.HaveVerdict);
   EXPECT_TRUE(After.ServerClosing || After.Transport) << After.Error;
+
+  // A daemon restarted on the same journal serves the job again (no
+  // store, so it re-verifies) but does not append its verdict twice.
+  DaemonOptions Restart = Opts;
+  Restart.SocketPath = Dir.sub("qccd2.sock");
+  {
+    LiveDaemon Again(Restart);
+    DaemonClient C2;
+    ASSERT_TRUE(C2.connect(Restart.SocketPath)) << C2.error();
+    ClientOutcome Served = C2.verify(requestFor(Jobs[0]));
+    EXPECT_TRUE(Served.HaveVerdict) << Served.Error;
+    EXPECT_TRUE(Served.Result.Ok);
+    EXPECT_EQ(Again.D.stats().JobsJournaled, 0u);
+  }
+  std::ifstream Reread(Opts.JournalPath);
+  std::string Only, Extra;
+  ASSERT_TRUE(static_cast<bool>(std::getline(Reread, Only)));
+  EXPECT_EQ(Only, Line);
+  EXPECT_FALSE(static_cast<bool>(std::getline(Reread, Extra))) << Extra;
 }
 
 TEST(Resilience, BackoffScheduleIsDeterministicAndBounded) {
@@ -774,45 +794,49 @@ TEST(Resilience, TornServerFrameIsRetriedToAVerdict) {
 //===----------------------------------------------------------------------===//
 
 TEST(PoolSubmit, RunsTasksInFifoOrderAcrossWorkers) {
-  WorkStealingPool Pool(4);
   std::atomic<int> Count{0};
+  std::latch AllRan(100);
+  ThreadPool Pool(4);
   for (int I = 0; I != 100; ++I)
-    Pool.submit([&Count] { Count.fetch_add(1, std::memory_order_relaxed); });
-  Pool.waitTasksIdle();
+    Pool.submit([&Count, &AllRan] {
+      Count.fetch_add(1, std::memory_order_relaxed);
+      AllRan.count_down();
+    });
+  AllRan.wait();
   EXPECT_EQ(Count.load(), 100);
-  EXPECT_EQ(Pool.taskCount(), 0u);
 }
 
 TEST(PoolSubmit, InterleavesWithParallelForBatches) {
-  WorkStealingPool Pool(4);
   std::atomic<int> TaskRuns{0}, BatchRuns{0};
-  // Tasks trickle in from a side thread while parallelFor batches run:
-  // the daemon-serving-while-batching scenario.
-  std::thread Feeder([&] {
-    for (int I = 0; I != 50; ++I)
-      Pool.submit(
-          [&TaskRuns] { TaskRuns.fetch_add(1, std::memory_order_relaxed); });
-  });
-  for (int Round = 0; Round != 10; ++Round)
-    Pool.parallelFor(32, [&BatchRuns](size_t) {
-      BatchRuns.fetch_add(1, std::memory_order_relaxed);
+  {
+    ThreadPool Pool(4);
+    // Tasks trickle in from a side thread while parallelFor batches run:
+    // the daemon-serving-while-batching scenario.
+    std::thread Feeder([&] {
+      for (int I = 0; I != 50; ++I)
+        Pool.submit(
+            [&TaskRuns] { TaskRuns.fetch_add(1, std::memory_order_relaxed); });
     });
-  Feeder.join();
-  Pool.waitTasksIdle();
+    for (int Round = 0; Round != 10; ++Round)
+      Pool.parallelFor(32, [&BatchRuns](size_t) {
+        BatchRuns.fetch_add(1, std::memory_order_relaxed);
+      });
+    Feeder.join();
+    EXPECT_EQ(BatchRuns.load(), 320);
+  } // The destructor finishes every submitted task.
   EXPECT_EQ(TaskRuns.load(), 50);
-  EXPECT_EQ(BatchRuns.load(), 320);
 }
 
 TEST(PoolSubmit, DestructorFinishesQueuedTasks) {
   std::atomic<int> Count{0};
   {
-    WorkStealingPool Pool(2);
+    ThreadPool Pool(2);
     for (int I = 0; I != 64; ++I)
       Pool.submit([&Count] {
         Count.fetch_add(1, std::memory_order_relaxed);
       });
-    // No waitTasksIdle: the destructor must finish the queue, so a
-    // waiter blocked on any submitted task can never be stranded.
+    // Nothing waits for the tasks: the destructor must finish the queue,
+    // so a waiter blocked on any submitted task can never be stranded.
   }
   EXPECT_EQ(Count.load(), 64);
 }

@@ -182,11 +182,11 @@ class Differential : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(Differential, AllLevelsAgree) {
   // 16 seeds per gtest case, 12 cases = 192 random programs, fanned out
-  // across cores on the batch engine's work-stealing pool (each seed is
+  // across cores on the batch engine's one-queue pool (each seed is
   // an independent pipeline; see support/Diagnostics.h for the contract).
   constexpr uint64_t Seeds = 16;
   std::vector<std::string> Failures(Seeds);
-  batch::WorkStealingPool Pool(
+  batch::ThreadPool Pool(
       std::max(1u, std::thread::hardware_concurrency()));
   const uint64_t Base = GetParam() * 1000;
   Pool.parallelFor(Seeds, [&Failures, Base](size_t Sub) {

@@ -350,7 +350,7 @@ TEST(StreamCorpus, FuzzSeedsMatch) {
 // Thread-safety of the shared symbol table and the sinks
 //===----------------------------------------------------------------------===//
 
-// The batch engine compiles on a work-stealing pool, so every sink and
+// The batch engine compiles on a thread pool, so every sink and
 // the global SymbolTable run under concurrency. This test recreates that
 // contention pattern directly; it is labeled `batch` so the TSan
 // configuration (cmake -DQCC_SANITIZE=thread; ctest -L batch) covers it.
